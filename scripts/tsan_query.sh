@@ -4,7 +4,8 @@
 # sharing the input table's lazily materialised column cache, the
 # parallel key-encode phase of GroupByAggregate, the per-output-column
 # gather tasks of HashJoin, and the warehouse loader's parallel chunked
-# table decode. A data race here silently breaks the engine's central
+# table decode, plus the wide-table build's LDA/FM fit tasks racing the
+# family fan-out. A data race here silently breaks the engine's central
 # guarantee — bit-identical results at every chunk size and thread
 # count — so TSan fails it in CI instead.
 #
@@ -20,7 +21,8 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTELCO_SANITIZE=thread
 cmake --build "$BUILD_DIR" \
     --target telco_query_test telco_storage_test \
-    telco_streaming_warehouse_test \
+    telco_streaming_warehouse_test telco_features_test \
+    telco_integration_test \
     -j "$(nproc)"
 cd "$BUILD_DIR"
 
@@ -47,3 +49,13 @@ ctest -R 'WarehouseIo|Segment' --output-on-failure --repeat until-fail:3
 # warehouse build.
 ctest -R 'ChunkSink|StreamingWarehouse' --output-on-failure \
     --repeat until-fail:2
+
+# Wide-table schedule: the LDA and FM fits run as pool tasks alongside
+# the F2..F8 fan-out, F7/F8 block on their fit's future, the FM task
+# reads the F1 table's lazy column cache while the joins read it too,
+# and a failing input must drain every fit still in flight. These tests
+# each sweep pool sizes and build orders (or error paths) themselves, so
+# one pass is the soak; every pooled WideTable test costs ~10 s of
+# simulation under TSan, too much to repeat the whole family.
+ctest -R 'SimEquivalenceTest.WideTable|WideTableTest.(MissingPairMonth|FitSpans)' \
+    --output-on-failure -j "$(nproc)"

@@ -7,6 +7,14 @@
 //  - ParallelFor called from inside a pool worker runs inline on the
 //    calling thread (a fixed pool with a blocking wait would otherwise
 //    deadlock on nested use).
+//  - Tasks are dequeued in submission order (FIFO), and a worker runs a
+//    task as soon as it dequeues it. A task may therefore block on the
+//    future of a task submitted *earlier* to the same pool: by the time
+//    the waiter starts, the earlier task is running or finished, so the
+//    wait cannot deadlock on any pool size (provided the earlier task
+//    does not itself wait on later work). The wide-table build's F7/F8
+//    tasks wait on their LDA fits this way. Waiting on a *later* task
+//    from a worker can deadlock.
 //  - The first exception thrown by an iteration (lowest chunk index wins)
 //    is rethrown on the calling thread after all chunks finish.
 //  - Chunk grids derived from an explicit `num_chunks` are independent of

@@ -1,6 +1,8 @@
 #include "features/wide_table.h"
 
 #include <algorithm>
+#include <functional>
+#include <future>
 #include <iterator>
 #include <unordered_map>
 
@@ -129,6 +131,45 @@ int MaxWeek(const Table& table) {
   }
   return static_cast<int>(max_week);
 }
+
+// The model fits of one Build call (the LDA fits for F7/F8, the FM pair
+// selection for F9). On a pool with more than one worker, entered from
+// outside it, Launch submits a fit as a pool task that starts at once;
+// otherwise the fit is deferred and runs on the first get(), where a
+// serial build first needs its result. The destructor waits for every
+// submitted fit, so none outlives the Build, error paths included.
+//
+// A family task may block on a fit's future: the pool dequeues FIFO and
+// every fit is submitted before the family fan-out, so a waited-for fit
+// is already running (see common/thread_pool.h).
+class FitSchedule {
+ public:
+  explicit FitSchedule(ThreadPool* pool)
+      : pool_(pool->num_threads() > 1 && !pool->InWorkerThread() ? pool
+                                                                  : nullptr) {}
+  ~FitSchedule() {
+    for (const auto& fit : submitted_) fit.wait();
+  }
+  FitSchedule(const FitSchedule&) = delete;
+  FitSchedule& operator=(const FitSchedule&) = delete;
+
+  bool parallel() const { return pool_ != nullptr; }
+
+  std::shared_future<Status> Launch(std::function<Status()> fit) {
+    if (pool_ == nullptr) {
+      return std::async(std::launch::deferred, std::move(fit)).share();
+    }
+    auto task = std::make_shared<std::packaged_task<Status()>>(std::move(fit));
+    std::shared_future<Status> result = task->get_future().share();
+    pool_->Submit([task] { (*task)(); });
+    submitted_.push_back(result);
+    return result;
+  }
+
+ private:
+  ThreadPool* pool_;
+  std::vector<std::shared_future<Status>> submitted_;
+};
 
 }  // namespace
 
@@ -408,10 +449,10 @@ Result<TablePtr> WideTableBuilder::BuildGraphFamily(
   return ComputeGraphFeatures(inputs, prefix);
 }
 
-Result<const LdaModel*> WideTableBuilder::EnsureLdaModel(bool complaint) {
+Status WideTableBuilder::EnsureLdaModel(bool complaint) {
   std::unique_ptr<LdaModel>& slot =
       complaint ? lda_complaint_ : lda_search_;
-  if (slot != nullptr) return slot.get();
+  if (slot != nullptr) return Status::OK();
   const int month = options_.pair_selection_month;
   const std::string table_name = complaint ? ComplaintTextTableName(month)
                                            : SearchTextTableName(month);
@@ -425,11 +466,12 @@ Result<const LdaModel*> WideTableBuilder::EnsureLdaModel(bool complaint) {
   TELCO_ASSIGN_OR_RETURN(LdaModel model,
                          TrainLdaOnTable(*text, vocab->num_rows(), lda));
   slot = std::make_unique<LdaModel>(std::move(model));
-  return slot.get();
+  return Status::OK();
 }
 
 Result<TablePtr> WideTableBuilder::BuildTopics(
     int month, FeatureFamily family, const std::vector<int64_t>& universe,
+    const std::shared_future<Status>& lda_fit,
     std::vector<std::string>* columns) {
   const bool complaint = family == FeatureFamily::kF7ComplaintTopics;
   const std::string table_name = complaint ? ComplaintTextTableName(month)
@@ -439,7 +481,9 @@ Result<TablePtr> WideTableBuilder::BuildTopics(
   const std::string prefix = complaint ? "cmpl" : "srch";
   TELCO_ASSIGN_OR_RETURN(TablePtr text, catalog_->Get(table_name));
   TELCO_ASSIGN_OR_RETURN(TablePtr vocab, catalog_->Get(vocab_name));
-  TELCO_ASSIGN_OR_RETURN(const LdaModel* model, EnsureLdaModel(complaint));
+  if (lda_fit.valid()) TELCO_RETURN_NOT_OK(lda_fit.get());
+  const LdaModel* model =
+      complaint ? lda_complaint_.get() : lda_search_.get();
 
   columns->clear();
   for (uint32_t k = 0; k < model->num_topics(); ++k) {
@@ -449,41 +493,59 @@ Result<TablePtr> WideTableBuilder::BuildTopics(
                               prefix, options_.pool);
 }
 
-Result<std::vector<std::pair<std::string, std::string>>>
-WideTableBuilder::SelectedSecondOrderPairs() {
-  if (pairs_selected_) return selected_pairs_;
-  // Fit the FM selector on the pair-selection month's labelled features.
-  TELCO_ASSIGN_OR_RETURN(const WideTable base,
-                         BuildWithoutSecondOrder(options_.pair_selection_month));
-  TELCO_ASSIGN_OR_RETURN(
-      const auto labels,
-      LoadChurnLabels(*catalog_, options_.pair_selection_month));
+Result<WideTableBuilder::F1Table> WideTableBuilder::BuildF1Family(
+    int month) {
+  const bool pair_month = month == options_.pair_selection_month;
+  if (pair_month && pair_f1_.has_value()) return *pair_f1_;
+  F1Table f1;
+  TraceSpan span("features.F1");
+  Stopwatch watch;
+  Result<TablePtr> built = BuildF1(month, &f1.columns);
+  RecordFamilyBuild(FeatureFamily::kF1Baseline, watch.ElapsedSeconds(),
+                    built);
+  TELCO_ASSIGN_OR_RETURN(f1.table, std::move(built));
+  if (pair_month) pair_f1_ = f1;
+  return f1;
+}
 
-  // Pairs are selected among the basic (F1) features, matching the paper:
-  // the second-order features of Fig 4 / Table 4 (e.g. innet_dura x
-  // total_charge) are products of basic BSS features.
-  const std::vector<std::string> feature_cols =
-      base.FamilyColumns(FeatureFamily::kF1Baseline);
-  TELCO_ASSIGN_OR_RETURN(Dataset data,
-                         Dataset::FromTableUnlabeled(*base.table,
-                                                     feature_cols));
-  TELCO_ASSIGN_OR_RETURN(const Column* imsi_col,
-                         base.table->GetColumn("imsi"));
-  for (size_t r = 0; r < base.table->num_rows(); ++r) {
-    const auto it = labels.find(imsi_col->GetInt64(r));
-    data.set_label(r, it != labels.end() ? it->second : 0);
-  }
+Status WideTableBuilder::EnsurePairsSelected() {
+  if (pairs_selected_) return Status::OK();
+  // Pairs are selected among the basic (F1) features of the labelled
+  // pair-selection month, matching the paper: the second-order features of
+  // Fig 4 / Table 4 (e.g. innet_dura x total_charge) are products of basic
+  // BSS features.
+  TELCO_ASSIGN_OR_RETURN(const F1Table base,
+                         BuildF1Family(options_.pair_selection_month));
+  TraceSpan span("features.F9.select_pairs");
+  Stopwatch watch;
+  const Status fitted = [&]() -> Status {
+    TELCO_ASSIGN_OR_RETURN(
+        const auto labels,
+        LoadChurnLabels(*catalog_, options_.pair_selection_month));
+    TELCO_ASSIGN_OR_RETURN(
+        Dataset data, Dataset::FromTableUnlabeled(*base.table, base.columns));
+    TELCO_ASSIGN_OR_RETURN(const Column* imsi_col,
+                           base.table->GetColumn("imsi"));
+    for (size_t r = 0; r < base.table->num_rows(); ++r) {
+      const auto it = labels.find(imsi_col->GetInt64(r));
+      data.set_label(r, it != labels.end() ? it->second : 0);
+    }
 
-  FactorizationMachineOptions fm_options = options_.fm;
-  fm_options.seed = HashCombine64(options_.seed, 0xF9F9ULL);
-  FactorizationMachine fm(fm_options);
-  TELCO_RETURN_NOT_OK(fm.Fit(data));
-  const auto ranked = fm.RankPairWeights(options_.num_second_order);
-  selected_pairs_.clear();
-  for (const auto& p : ranked) {
-    selected_pairs_.emplace_back(feature_cols[p.i], feature_cols[p.j]);
-  }
-  pairs_selected_ = true;
+    FactorizationMachineOptions fm_options = options_.fm;
+    fm_options.seed = HashCombine64(options_.seed, 0xF9F9ULL);
+    FactorizationMachine fm(fm_options);
+    TELCO_RETURN_NOT_OK(fm.Fit(data));
+    selected_pairs_.clear();
+    for (const auto& p : fm.RankPairWeights(options_.num_second_order)) {
+      selected_pairs_.emplace_back(base.columns[p.i], base.columns[p.j]);
+    }
+    pairs_selected_ = true;
+    return Status::OK();
+  }();
+  MetricsRegistry::Global()
+      .GetHistogram("features.F9.select_pairs_seconds")
+      .Observe(watch.ElapsedSeconds());
+  TELCO_RETURN_NOT_OK(fitted);
   TELCO_LOG(Info) << "F9: selected " << selected_pairs_.size()
                   << " second-order pairs (top: "
                   << (selected_pairs_.empty()
@@ -491,15 +553,20 @@ WideTableBuilder::SelectedSecondOrderPairs() {
                           : selected_pairs_[0].first + " x " +
                                 selected_pairs_[0].second)
                   << ")";
+  return Status::OK();
+}
+
+Result<std::vector<std::pair<std::string, std::string>>>
+WideTableBuilder::SelectedSecondOrderPairs() {
+  TELCO_RETURN_NOT_OK(EnsurePairsSelected());
   return selected_pairs_;
 }
 
 Result<TablePtr> WideTableBuilder::AttachSecondOrder(
     const WideTable& base, std::vector<std::string>* columns) {
-  TELCO_ASSIGN_OR_RETURN(const auto pairs, SelectedSecondOrderPairs());
   std::vector<ProjectedColumn> extras;
   columns->clear();
-  for (const auto& [a, b] : pairs) {
+  for (const auto& [a, b] : selected_pairs_) {
     const std::string name = a + "_x_" + b;
     extras.push_back(ProjectedColumn{name, Expr::Mul(Col(a), Col(b)),
                                      DataType::kDouble});
@@ -508,34 +575,20 @@ Result<TablePtr> WideTableBuilder::AttachSecondOrder(
   return AppendComputedColumns(base.table, std::move(extras));
 }
 
-Result<WideTable> WideTableBuilder::BuildWithoutSecondOrder(int month) {
-  const auto it = cache_no_f9_.find(month);
-  if (it != cache_no_f9_.end()) return it->second;
-
+Result<WideTable> WideTableBuilder::BuildWithoutSecondOrder(
+    int month, const F1Table& f1,
+    const std::shared_future<Status> (&lda_fits)[2]) {
   WideTable wide;
-  std::vector<std::string> cols;
-  TraceSpan build_span(StrFormat("features.build_wide:m%d", month));
-
-  Result<TablePtr> f1 = [&]() -> Result<TablePtr> {
-    TraceSpan span("features.F1");
-    Stopwatch watch;
-    Result<TablePtr> built = BuildF1(month, &cols);
-    RecordFamilyBuild(FeatureFamily::kF1Baseline, watch.ElapsedSeconds(),
-                      built);
-    return built;
-  }();
-  TELCO_ASSIGN_OR_RETURN(TablePtr table, std::move(f1));
-  wide.columns[FeatureFamily::kF1Baseline] = cols;
-
+  wide.columns[FeatureFamily::kF1Baseline] = f1.columns;
+  TablePtr table = f1.table;
   TELCO_ASSIGN_OR_RETURN(const std::vector<int64_t> universe,
                          ReadImsis(*table));
 
   // F1 fixed the universe; families F2..F8 only read the (thread-safe)
-  // catalog and the universe, so fan them out across the pool. The F7/F8
-  // tasks may both lazily train an LDA model, but they use distinct slots
-  // (complaint vs search), so they never race. Each family lands in its
-  // own slot and the joins below run serially in the fixed F2..F8 order,
-  // making the wide table bit-identical to a serial build.
+  // catalog, the universe and their own LDA model, so fan them out across
+  // the pool. Each family lands in its own slot and the joins below run
+  // serially in the fixed F2..F8 order, making the wide table
+  // bit-identical to a serial build.
   static constexpr FeatureFamily kParallelFamilies[] = {
       FeatureFamily::kF2Cs,           FeatureFamily::kF3Ps,
       FeatureFamily::kF4CallGraph,    FeatureFamily::kF5MsgGraph,
@@ -564,9 +617,13 @@ Result<WideTable> WideTableBuilder::BuildWithoutSecondOrder(int month) {
         family_tables[i] = BuildGraphFamily(month, kParallelFamilies[i],
                                             universe, &family_cols[i]);
         break;
+      case FeatureFamily::kF7ComplaintTopics:
+        family_tables[i] = BuildTopics(month, kParallelFamilies[i], universe,
+                                       lda_fits[0], &family_cols[i]);
+        break;
       default:
         family_tables[i] = BuildTopics(month, kParallelFamilies[i], universe,
-                                       &family_cols[i]);
+                                       lda_fits[1], &family_cols[i]);
         break;
     }
     RecordFamilyBuild(kParallelFamilies[i], watch.ElapsedSeconds(),
@@ -582,9 +639,7 @@ Result<WideTable> WideTableBuilder::BuildWithoutSecondOrder(int month) {
                            HashJoin(table, *family_tables[i], {"imsi"},
                                     {"imsi"}, JoinType::kLeft, kRightSuffix));
   }
-
   wide.table = std::move(table);
-  cache_no_f9_.emplace(month, wide);
   return wide;
 }
 
@@ -592,7 +647,41 @@ Result<WideTable> WideTableBuilder::Build(int month) {
   const auto it = cache_.find(month);
   if (it != cache_.end()) return it->second;
 
-  TELCO_ASSIGN_OR_RETURN(WideTable wide, BuildWithoutSecondOrder(month));
+  TraceSpan build_span(StrFormat("features.build_wide:m%d", month));
+  ThreadPool* pool =
+      options_.pool != nullptr ? options_.pool : &ThreadPool::Default();
+  FitSchedule fits(pool);
+
+  // The LDA fits read only the pair-selection month's text: start them
+  // before anything else.
+  std::shared_future<Status> lda_fits[2];
+  for (const bool complaint : {true, false}) {
+    if ((complaint ? lda_complaint_ : lda_search_) == nullptr) {
+      lda_fits[complaint ? 0 : 1] =
+          fits.Launch([this, complaint] { return EnsureLdaModel(complaint); });
+    }
+  }
+
+  // The FM pair selection reads only the pair-selection month's F1. For
+  // another month, build that F1 here (on this thread, so its operators
+  // use the whole pool) and start the fit before this month's F1; a
+  // failed F1 surfaces where the serial order would report it, at F9.
+  const int pair_month = options_.pair_selection_month;
+  const bool select_pairs = !pairs_selected_;
+  const auto fit_pairs = [this] { return EnsurePairsSelected(); };
+  std::shared_future<Status> pairs_fit;
+  Status pair_f1;
+  if (select_pairs && month != pair_month) {
+    if (fits.parallel()) pair_f1 = BuildF1Family(pair_month).status();
+    if (pair_f1.ok()) pairs_fit = fits.Launch(fit_pairs);
+  }
+  TELCO_ASSIGN_OR_RETURN(const F1Table f1, BuildF1Family(month));
+  if (select_pairs && month == pair_month) pairs_fit = fits.Launch(fit_pairs);
+
+  TELCO_ASSIGN_OR_RETURN(WideTable wide,
+                         BuildWithoutSecondOrder(month, f1, lda_fits));
+  TELCO_RETURN_NOT_OK(pair_f1);
+  if (pairs_fit.valid()) TELCO_RETURN_NOT_OK(pairs_fit.get());
   std::vector<std::string> cols;
   Result<TablePtr> with_f9 = [&]() -> Result<TablePtr> {
     TraceSpan span("features.F9");

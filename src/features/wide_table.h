@@ -12,8 +12,10 @@
 #ifndef TELCO_FEATURES_WIDE_TABLE_H_
 #define TELCO_FEATURES_WIDE_TABLE_H_
 
+#include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,11 +47,18 @@ struct WideTableOptions {
   uint64_t seed = 123;
   /// Cache finished wide tables in the catalog under "wide_m<N>[_sK]".
   bool cache_in_catalog = true;
-  /// Pool for the per-family fan-out and the per-customer stages inside
-  /// each family (null = the process-wide default pool). Families F2..F8
-  /// are built concurrently after F1 fixes the universe, then joined in
-  /// the fixed F2..F9 order — results are bit-identical to a serial
-  /// build for any thread count.
+  /// Pool for the wide-table build (null = the process-wide default
+  /// pool). Each task starts as soon as its inputs exist: the first build
+  /// that needs them submits the two LDA fits (complaint, search) as pool
+  /// tasks at its top, and the FM pair selection as a task fed by the
+  /// pair-selection month's F1 table, right after F1 on that month or
+  /// after a memoised F1-only build of it otherwise. Families F2..F8 fan
+  /// out once F1 fixes the universe; F7/F8 wait for their LDA fit before
+  /// fold-in. The joins (fixed F2..F9 order) and the F9 projection stay
+  /// on the calling thread. A one-thread pool, or a Build called from one
+  /// of the pool's workers, runs everything serially in that same order.
+  /// No task outlives the Build that submitted it, and results are
+  /// bit-identical to a serial build for any thread count.
   ThreadPool* pool = nullptr;
 
   WideTableOptions() {
@@ -89,35 +98,54 @@ class WideTableBuilder {
   void InjectCached(int month, WideTable wide);
 
   /// The (name_i, name_j) second-order pairs selected by the FM (fitted
-  /// lazily on the pair-selection month). Exposed for diagnostics.
+  /// lazily on the pair-selection month's F1 features). Exposed for
+  /// diagnostics.
   Result<std::vector<std::pair<std::string, std::string>>>
   SelectedSecondOrderPairs();
 
  private:
+  /// F1 of one month: the table F2..F9 attach to and its feature columns.
+  struct F1Table {
+    TablePtr table;
+    std::vector<std::string> columns;
+  };
+
   Result<TablePtr> BuildWeeklyWindow(const std::string& base_name, int month);
   Result<TablePtr> BuildF1(int month,
                            std::vector<std::string>* columns);
+  /// Traced, recorded F1 build; the pair-selection month's is memoised.
+  Result<F1Table> BuildF1Family(int month);
   Result<TablePtr> BuildF2(int month, std::vector<std::string>* columns);
   Result<TablePtr> BuildF3(int month, std::vector<std::string>* columns);
   Result<TablePtr> BuildGraphFamily(int month, FeatureFamily family,
                                     const std::vector<int64_t>& universe,
                                     std::vector<std::string>* columns);
+  /// F7/F8 of `month`; `lda_fit`, when valid, is the pending fit of the
+  /// family's LDA model, waited for before fold-in.
   Result<TablePtr> BuildTopics(int month, FeatureFamily family,
                                const std::vector<int64_t>& universe,
+                               const std::shared_future<Status>& lda_fit,
                                std::vector<std::string>* columns);
+  /// Builds F2..F8 of `month` and joins them onto `f1` in family order.
+  /// `lda_fits` are the pending complaint and search LDA fits.
+  Result<WideTable> BuildWithoutSecondOrder(
+      int month, const F1Table& f1,
+      const std::shared_future<Status> (&lda_fits)[2]);
+  /// Appends the selected pairs' product columns (the F9 projection).
   Result<TablePtr> AttachSecondOrder(const WideTable& base,
                                      std::vector<std::string>* columns);
-  Result<WideTable> BuildWithoutSecondOrder(int month);
 
   /// Lazily trains the LDA model for one text source on the
   /// pair-selection month's corpus; later months fold into the same phi
   /// so topic indices stay aligned across the sliding window.
-  Result<const LdaModel*> EnsureLdaModel(bool complaint);
+  Status EnsureLdaModel(bool complaint);
+  /// Lazily fits the FM pair selector on the pair-selection month's F1.
+  Status EnsurePairsSelected();
 
   Catalog* catalog_;
   WideTableOptions options_;
   std::map<int, WideTable> cache_;
-  std::map<int, WideTable> cache_no_f9_;
+  std::optional<F1Table> pair_f1_;
   bool pairs_selected_ = false;
   std::vector<std::pair<std::string, std::string>> selected_pairs_;
   std::unique_ptr<LdaModel> lda_complaint_;

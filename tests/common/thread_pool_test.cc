@@ -1,11 +1,14 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +85,37 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   });
   for (const auto& row : hits) {
     for (int h : row) EXPECT_EQ(h, 1);
+  }
+}
+
+// FIFO contract: a task may wait on the future of a task submitted
+// earlier to the same pool, on any pool size (one worker included),
+// because the earlier task is dequeued — and running — first.
+TEST(ThreadPoolTest, TaskMayWaitOnEarlierSubmittedTask) {
+  for (const size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    constexpr int kChain = 16;
+    std::vector<int> values(kChain, 0);
+    std::vector<std::shared_future<void>> futures;
+    futures.push_back(pool.Submit([&values] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      values[0] = 1;
+    }).share());
+    for (int k = 1; k < kChain; ++k) {
+      // Each task waits on its predecessor, and every third one also on
+      // the chain's first task.
+      const std::shared_future<void> previous = futures.back();
+      const std::shared_future<void> first = futures.front();
+      futures.push_back(pool.Submit([&values, previous, first, k] {
+        previous.wait();
+        if (k % 3 == 0) first.wait();
+        values[k] = values[k - 1] + 1;
+      }).share());
+    }
+    futures.back().wait();
+    for (int k = 0; k < kChain; ++k) {
+      EXPECT_EQ(values[k], k + 1) << threads << " threads, task " << k;
+    }
   }
 }
 

@@ -1,9 +1,15 @@
 #include "features/wide_table.h"
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/telemetry/metrics.h"
+#include "common/telemetry/trace.h"
+#include "common/thread_pool.h"
+#include "datagen/table_names.h"
 #include "sim_fixture.h"
 
 namespace telco {
@@ -153,6 +159,108 @@ TEST(WideTableTest, MissingMonthFails) {
   auto& shared = sim_fixture::GetSharedSim();
   WideTableBuilder builder(&shared.catalog);
   EXPECT_FALSE(builder.Build(99).ok());
+}
+
+uint64_t HistogramCount(const std::string& name) {
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const MetricValue* metric = snapshot.Find(name);
+  return metric == nullptr ? 0 : metric->histogram.count;
+}
+
+// The FM pair selector reads only the pair-selection month's F1, so a
+// build of another month runs F2..F8 exactly once: no nested wide build
+// of the pair month.
+TEST(WideTableTest, BuildOfLaterMonthBuildsEachFamilyOnce) {
+  auto& shared = sim_fixture::GetSharedSim();
+  const uint64_t f1_before = HistogramCount("features.F1.build_seconds");
+  const uint64_t f2_before = HistogramCount("features.F2.build_seconds");
+  const uint64_t fm_before =
+      HistogramCount("features.F9.select_pairs_seconds");
+  WideTableOptions options;
+  options.cache_in_catalog = false;
+  WideTableBuilder builder(&shared.catalog, options);
+  ASSERT_TRUE(builder.Build(2).ok());
+  EXPECT_EQ(HistogramCount("features.F2.build_seconds") - f2_before, 1u);
+  // F1 of month 2 plus the F1-only build of the pair-selection month.
+  EXPECT_EQ(HistogramCount("features.F1.build_seconds") - f1_before, 2u);
+  EXPECT_EQ(HistogramCount("features.F9.select_pairs_seconds") - fm_before,
+            1u);
+  // The pair month's F1 is memoised: building month 1 afterwards reuses it.
+  ASSERT_TRUE(builder.Build(1).ok());
+  EXPECT_EQ(HistogramCount("features.F1.build_seconds") - f1_before, 2u);
+  EXPECT_EQ(HistogramCount("features.F2.build_seconds") - f2_before, 2u);
+}
+
+// A pair-selection-month input that is gone fails the build with the same
+// error on every schedule, without hanging, and leaves nothing half built:
+// a second Build fails the same way. Without the search corpus the LDA
+// fit task fails (reported by F8); without the billing table the F1-only
+// build behind the FM fit fails, but F4 reads it too and comes first.
+TEST(WideTableTest, MissingPairMonthTableFailsTheSameOnEveryPool) {
+  auto& shared = sim_fixture::GetSharedSim();
+  for (const std::string& dropped :
+       {SearchTextTableName(1), BillingTableName(1)}) {
+    Catalog catalog;
+    for (const std::string& name : shared.catalog.ListTables()) {
+      // Skip the dropped table, and wide tables other tests cached.
+      if (name == dropped || name.rfind("wide_", 0) == 0) continue;
+      ASSERT_TRUE(catalog.Register(name, *shared.catalog.Get(name)).ok());
+    }
+    std::vector<std::string> errors;
+    for (const size_t threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      WideTableOptions options;
+      options.pool = &pool;
+      WideTableBuilder builder(&catalog, options);
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        auto wide = builder.Build(2);
+        ASSERT_FALSE(wide.ok()) << dropped << ", " << threads << " threads";
+        errors.push_back(wide.status().ToString());
+        EXPECT_FALSE(catalog.Contains("wide_m2"));
+      }
+    }
+    EXPECT_NE(errors[0].find(dropped), std::string::npos) << errors[0];
+    for (const std::string& error : errors) {
+      EXPECT_EQ(error, errors[0]) << dropped;
+    }
+  }
+}
+
+// The fits run as pool tasks but stay attributed to the build that
+// started them, and the F9 span covers only the product projection.
+TEST(WideTableTest, FitSpansNestUnderTheBuild) {
+  auto& shared = sim_fixture::GetSharedSim();
+  ThreadPool pool(4);
+  WideTableOptions options;
+  options.cache_in_catalog = false;
+  options.pool = &pool;
+  WideTableBuilder builder(&shared.catalog, options);
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Start();
+  const bool built = builder.Build(2).ok();
+  recorder.Stop();
+  ASSERT_TRUE(built);
+  const std::vector<TraceEvent> events = recorder.Collect();
+  uint64_t build_id = 0;
+  for (const TraceEvent& event : events) {
+    if (event.name == "features.build_wide:m2") build_id = event.id;
+  }
+  ASSERT_NE(build_id, 0u);
+  size_t lda_fits = 0;
+  size_t pair_fits = 0;
+  for (const TraceEvent& event : events) {
+    if (event.name == "text.lda.train") {
+      ++lda_fits;
+      EXPECT_EQ(event.parent_id, build_id);
+    } else if (event.name == "features.F9.select_pairs") {
+      ++pair_fits;
+      EXPECT_EQ(event.parent_id, build_id);
+    } else if (event.name == "features.F9") {
+      EXPECT_EQ(event.parent_id, build_id);
+    }
+  }
+  EXPECT_EQ(lda_fits, 2u);
+  EXPECT_EQ(pair_fits, 1u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // RNG streams, pool-size-independent chunk grids, and chunk-order
 // reductions — at the stage level.
 
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +179,127 @@ TEST_F(SimEquivalenceTest, WideTableIdenticalAcrossPoolSizes) {
       }
     }
   }
+}
+
+// Every cell compared by its bit pattern, so NaNs compare equal.
+void ExpectTablesBitIdentical(const Table& a, const Table& b,
+                              const std::string& what) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
+  ASSERT_EQ(a.schema().num_fields(), b.schema().num_fields()) << what;
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    const std::string& name = a.schema().field(c).name;
+    ASSERT_EQ(name, b.schema().field(c).name) << what;
+    const Column& col_a = a.column(c);
+    const Column& col_b = b.column(c);
+    ASSERT_EQ(col_a.type(), col_b.type()) << what << " " << name;
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      ASSERT_EQ(col_a.IsNull(r), col_b.IsNull(r))
+          << what << " " << name << " row " << r;
+      switch (col_a.type()) {
+        case DataType::kString:
+          ASSERT_EQ(col_a.GetString(r), col_b.GetString(r))
+              << what << " " << name << " row " << r;
+          break;
+        case DataType::kInt64:
+          ASSERT_EQ(col_a.GetInt64(r), col_b.GetInt64(r))
+              << what << " " << name << " row " << r;
+          break;
+        case DataType::kDouble: {
+          const double x = col_a.GetDouble(r);
+          const double y = col_b.GetDouble(r);
+          ASSERT_EQ(std::memcmp(&x, &y, sizeof(x)), 0)
+              << what << " " << name << " row " << r << ": " << x
+              << " vs " << y;
+          break;
+        }
+      }
+    }
+  }
+}
+
+// What one builder produced: month 1's wide table (when built), month
+// 2's, and the FM-selected pairs.
+struct BuiltMonths {
+  TablePtr month1;
+  TablePtr month2;
+  std::vector<std::pair<std::string, std::string>> pairs;
+};
+
+// The wide-table build schedules the LDA and FM fits around the family
+// fan-out differently depending on build order and pool size; none of it
+// may change a bit of the tables or the selected pairs.
+TEST_F(SimEquivalenceTest, WideTableIdenticalAcrossBuildOrdersAndPools) {
+  enum class Order { k1Then2, k2Only, k2Then1 };
+  const auto build = [&](size_t threads, Order order) {
+    ThreadPool pool(threads);
+    WideTableOptions options;
+    options.cache_in_catalog = false;
+    options.pool = &pool;
+    WideTableBuilder builder(catalog_, options);
+    BuiltMonths out;
+    const auto month = [&](int m, TablePtr* table) {
+      auto wide = builder.Build(m);
+      ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+      *table = wide->table;
+    };
+    if (order == Order::k1Then2) month(1, &out.month1);
+    month(2, &out.month2);
+    if (order == Order::k2Then1) month(1, &out.month1);
+    auto pairs = builder.SelectedSecondOrderPairs();
+    EXPECT_TRUE(pairs.ok()) << pairs.status().ToString();
+    if (pairs.ok()) out.pairs = *pairs;
+    return out;
+  };
+
+  const BuiltMonths reference = build(1, Order::k1Then2);
+  ASSERT_NE(reference.month1, nullptr);
+  ASSERT_NE(reference.month2, nullptr);
+  ASSERT_EQ(reference.pairs.size(), WideTableOptions().num_second_order);
+  for (const size_t threads : {1u, 2u, 4u}) {
+    for (const Order order : {Order::k1Then2, Order::k2Only, Order::k2Then1}) {
+      const std::string what =
+          "pool " + std::to_string(threads) + " order " +
+          std::to_string(static_cast<int>(order));
+      const BuiltMonths got = build(threads, order);
+      ASSERT_NE(got.month2, nullptr) << what;
+      ExpectTablesBitIdentical(*reference.month2, *got.month2, what + " m2");
+      if (order != Order::k2Only) {
+        ASSERT_NE(got.month1, nullptr) << what;
+        ExpectTablesBitIdentical(*reference.month1, *got.month1,
+                                 what + " m1");
+      }
+      EXPECT_EQ(reference.pairs, got.pairs) << what;
+    }
+  }
+}
+
+// A Build issued from one of its own pool's workers cannot submit work it
+// would then wait for; it falls back to the serial schedule, must not
+// deadlock, and gives the same table.
+TEST_F(SimEquivalenceTest, WideTableBuiltInsidePoolWorkerMatches) {
+  ThreadPool pool1(1);
+  WideTableOptions options;
+  options.cache_in_catalog = false;
+  options.pool = &pool1;
+  WideTableBuilder serial(catalog_, options);
+  auto expected = serial.Build(2);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  ThreadPool pool4(4);
+  options.pool = &pool4;
+  WideTableBuilder nested(catalog_, options);
+  Result<WideTable> got(Status::Internal("not built"));
+  pool4.Submit([&] {
+         ASSERT_TRUE(pool4.InWorkerThread());
+         got = nested.Build(2);
+       })
+      .get();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectTablesBitIdentical(*expected->table, *got->table, "in worker");
+  auto expected_pairs = serial.SelectedSecondOrderPairs();
+  auto got_pairs = nested.SelectedSecondOrderPairs();
+  ASSERT_TRUE(expected_pairs.ok() && got_pairs.ok());
+  EXPECT_EQ(*expected_pairs, *got_pairs);
 }
 
 TEST_F(SimEquivalenceTest, PipelinePredictionsIdenticalAcrossThreadCounts) {
