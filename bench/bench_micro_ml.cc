@@ -83,13 +83,12 @@ void BM_RandomForestPredictBatch(benchmark::State& state) {
 BENCHMARK(BM_RandomForestPredictBatch)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// The ScoreBatch trio measures one fitted paper-scale forest (500 trees,
-// §4.2) whose exact arena (~2.8 MB of 16-byte nodes) spills the CI
-// box's L2 while the binned arena (8-byte nodes) fits — the serving
-// regime the binned engine targets. Fitting 500 trees is expensive on
-// one core, so the model and rows are built once per process and shared
-// by every engine/thread-count variant (scoring is const and the
-// benchmarks run sequentially).
+// The ScoreBatch pair measures one fitted paper-scale forest (500 trees,
+// §4.2): the per-row pointer walk against the compiled binned engine
+// (8-byte nodes). Fitting 500 trees is expensive on one core, so the
+// model and rows are built once per process and shared by every
+// path/thread-count variant (scoring is const and the benchmarks run
+// sequentially).
 const Dataset& ScoreBatchData() {
   static const Dataset* const data = new Dataset(SyntheticData(5000, 50, 2));
   return *data;
@@ -107,10 +106,10 @@ const RandomForest& ScoreBatchForest() {
   return *forest;
 }
 
-// Flat-engine vs pointer-walk batch scoring (same fitted forest, same
-// FeatureMatrix, bit-identical outputs); Arg = worker threads. The
-// qualified Classifier:: call bypasses the compiled engines and runs
-// the per-row pointer walk they replaced.
+// Pointer-walk batch scoring (same fitted forest, same FeatureMatrix,
+// bit-identical outputs to the engine); Arg = worker threads. The
+// qualified Classifier:: call bypasses the compiled engine and runs the
+// per-row pointer walk it replaced.
 void BM_RandomForestScoreBatchPointer(benchmark::State& state) {
   const RandomForest& forest = ScoreBatchForest();
   ThreadPool pool(static_cast<size_t>(state.range(0)));
@@ -123,23 +122,8 @@ void BM_RandomForestScoreBatchPointer(benchmark::State& state) {
 BENCHMARK(BM_RandomForestScoreBatchPointer)->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The direct flat()/binned() calls pin each engine regardless of the
-// process-default ForestEngine, so Flat vs Binned stays an
-// apples-to-apples pair.
-void BM_RandomForestScoreBatchFlat(benchmark::State& state) {
-  const RandomForest& forest = ScoreBatchForest();
-  ThreadPool pool(static_cast<size_t>(state.range(0)));
-  const FeatureMatrix rows = ScoreBatchData().Matrix();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.flat()->PredictProba(rows, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() * rows.num_rows());
-}
-BENCHMARK(BM_RandomForestScoreBatchFlat)->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Binned integer-compare engine over the same fitted forest and rows —
-// bit-identical scores, measured against ScoreBatchFlat above.
+// bit-identical scores, measured against ScoreBatchPointer above.
 void BM_RandomForestScoreBatchBinned(benchmark::State& state) {
   const RandomForest& forest = ScoreBatchForest();
   ThreadPool pool(static_cast<size_t>(state.range(0)));
@@ -179,18 +163,6 @@ void BM_GbdtScoreBatchPointer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows.num_rows());
 }
 BENCHMARK(BM_GbdtScoreBatchPointer)->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GbdtScoreBatchFlat(benchmark::State& state) {
-  const Gbdt& model = ScoreBatchGbdt();
-  ThreadPool pool(static_cast<size_t>(state.range(0)));
-  const FeatureMatrix rows = GbdtScoreBatchData().Matrix();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.flat()->PredictProba(rows, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() * rows.num_rows());
-}
-BENCHMARK(BM_GbdtScoreBatchFlat)->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_GbdtScoreBatchBinned(benchmark::State& state) {

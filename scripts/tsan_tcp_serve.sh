@@ -25,7 +25,10 @@ cd "$BUILD_DIR"
 
 # The full TCP wire suite plus the router's concurrency tests, once.
 # This includes the idle-reaper test (reader-thread sweep racing
-# executor callbacks) and the binned-engine wire-parity test.
+# executor callbacks) and the binned-engine wire-parity test. Batch
+# scoring runs BinnedForest::PredictProbaInto on the pool workers, so
+# TSan checks the compiled edge-map/arena reads against concurrent
+# snapshot publishes too.
 ctest -R 'TcpServe|ModelRouter' --output-on-failure -j "$(nproc)"
 
 # Swap-storm soak: the two tests whose schedules matter most — named
@@ -43,11 +46,3 @@ ctest -R 'TcpServeTest.ConcurrentNamedSwapStormKeepsBitParity|ModelRouterTest.In
 # all race the serving data plane here.
 ctest -R 'TcpServeTest.ObservabilitySoakUnderSwapStorm' \
     --output-on-failure --repeat until-fail:5
-
-# Same swap storm with the binned traversal engine forced on: batch
-# scoring now runs BinnedForest::PredictProbaInto on the pool workers,
-# so TSan checks the compiled edge-map/arena reads against concurrent
-# snapshot publishes too.
-TELCO_FOREST_ENGINE=binned \
-ctest -R 'TcpServeTest.ConcurrentNamedSwapStormKeepsBitParity|TcpServeTest.IdleReaperClosesStalledConnectionOnly' \
-    --output-on-failure --repeat until-fail:3

@@ -1,9 +1,7 @@
 #include "ml/binned_forest.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -27,7 +25,6 @@ struct BinnedForestMetrics {
   Counter nodes;
   Counter batch_rows;
   Counter wide_code_forests;
-  Counter compile_fallbacks;
 };
 
 const BinnedForestMetrics& Metrics() {
@@ -38,26 +35,16 @@ const BinnedForestMetrics& Metrics() {
         r.GetCounter("ml.binned_forest.nodes"),
         r.GetCounter("ml.binned_forest.batch_rows"),
         r.GetCounter("ml.binned_forest.wide_code_forests"),
-        r.GetCounter("ml.binned_forest.compile_fallbacks"),
     };
   }();
   return *m;
 }
 
-// -1 = not initialised yet; otherwise a ForestEngine value.
-std::atomic<int> g_default_engine{-1};
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TELCO_BINNED_AVX2 1
 
 bool HasAvx2() {
-  // TELCO_BINNED_SIMD=off forces the scalar conditional-move loop — a
-  // debugging/benching escape hatch; scores are identical either way.
-  static const bool has = [] {
-    const char* env = std::getenv("TELCO_BINNED_SIMD");
-    if (env != nullptr && std::string_view(env) == "off") return false;
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has;
 }
 
@@ -129,100 +116,147 @@ inline uint32_t DescendStep8(const int32_t* arena_words,
 
 }  // namespace
 
-ForestEngine DefaultForestEngine() {
-  int v = g_default_engine.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = static_cast<int>(ForestEngine::kBinned);
-    if (const char* env = std::getenv("TELCO_FOREST_ENGINE")) {
-      const Result<ForestEngine> parsed = ParseForestEngine(env);
-      if (parsed.ok()) {
-        v = static_cast<int>(*parsed);
-      } else {
-        TELCO_LOG(Warning) << "ignoring TELCO_FOREST_ENGINE='" << env
-                           << "': " << parsed.status().ToString();
-      }
-    }
-    g_default_engine.store(v, std::memory_order_relaxed);
+template <typename SrcNode, typename LeafValueFn>
+Status BinnedForest::AppendTree(const std::vector<SrcNode>& src,
+                                const LeafValueFn& leaf_value,
+                                std::vector<double>* thresholds) {
+  if (src.empty()) {
+    return Status::InvalidArgument("cannot compile an empty tree");
   }
-  return static_cast<ForestEngine>(v);
+  roots_.push_back(static_cast<uint32_t>(nodes_.size()));
+  // Preorder DFS with an explicit stack: (source node, arena index of the
+  // parent whose right_delta this node resolves; -1 = a left child or
+  // the root, which is always adjacent to its parent).
+  std::vector<std::pair<int32_t, int64_t>> stack;
+  stack.emplace_back(0, -1);
+  size_t emitted = 0;
+  while (!stack.empty()) {
+    const auto [src_id, patch] = stack.back();
+    stack.pop_back();
+    if (src_id < 0 || static_cast<size_t>(src_id) >= src.size()) {
+      return Status::InvalidArgument("tree child index out of range");
+    }
+    // The only guard against a looping tree: the pointer walk would spin
+    // forever on one, and Import checks child ranges only.
+    if (++emitted > src.size()) {
+      return Status::InvalidArgument("tree topology has a cycle");
+    }
+    const int64_t at = static_cast<int64_t>(nodes_.size());
+    if (patch >= 0) {
+      nodes_[patch].right_delta = static_cast<int32_t>(at - patch);
+    }
+    const SrcNode& n = src[src_id];
+    // Default node = leaf: split 0 never compares true and right_delta 0
+    // self-loops, so finished rows hold still in the lock-step descent.
+    Node out;
+    int32_t slot = -1;
+    if (n.feature < 0) {
+      if (leaf_values_.size() >=
+          static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+        return Status::InvalidArgument("forest exceeds 2^31 leaves");
+      }
+      slot = static_cast<int32_t>(leaf_values_.size());
+      leaf_values_.push_back(leaf_value(n));
+    } else {
+      if (n.feature >= 0xFFFF) {
+        return Status::InvalidArgument(StrFormat(
+            "a split tests feature %d; binned nodes index features with "
+            "uint16 (max 65534)",
+            static_cast<int>(n.feature)));
+      }
+      out.feature = static_cast<uint16_t>(n.feature);
+      // Right is pushed first so the left subtree pops (and is emitted
+      // adjacent) first; right_delta is patched when the right pops.
+      stack.emplace_back(n.right, at);
+      stack.emplace_back(n.left, -1);
+    }
+    nodes_.push_back(out);
+    leaf_slot_.push_back(slot);
+    thresholds->push_back(n.threshold);
+    if (nodes_.size() >=
+        static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+      return Status::InvalidArgument("forest exceeds 2^31 nodes");
+    }
+  }
+  return Status::OK();
 }
 
-void SetDefaultForestEngine(ForestEngine engine) {
-  g_default_engine.store(static_cast<int>(engine),
-                         std::memory_order_relaxed);
+Status BinnedForest::EncodeSplits(const std::vector<double>& thresholds) {
+  std::vector<std::vector<double>> by_feature;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (leaf_slot_[i] >= 0) continue;
+    const size_t f = nodes_[i].feature;
+    if (f >= by_feature.size()) by_feature.resize(f + 1);
+    by_feature[f].push_back(thresholds[i]);
+  }
+  TELCO_ASSIGN_OR_RETURN(edges_, ThresholdEdgeMap::Build(by_feature));
+  wide_codes_ = !edges_.fits_uint8();
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (leaf_slot_[i] >= 0) continue;
+    // `v <= t` <=> `code(v) < code(t) + 1` for finite and infinite t;
+    // a NaN threshold compares false for every v, which split == 0
+    // encodes (no code is < 0) while the real right_delta keeps the
+    // node unconditionally-right rather than a leaf self-loop.
+    Node& node = nodes_[i];
+    node.split = std::isnan(thresholds[i])
+                     ? 0
+                     : static_cast<uint16_t>(
+                           edges_.CodeOf(node.feature, thresholds[i]) + 1);
+  }
+  Metrics().nodes.Add(nodes_.size());
+  if (wide_codes_) Metrics().wide_code_forests.Add();
+  return Status::OK();
 }
 
-Result<ForestEngine> ParseForestEngine(std::string_view name) {
-  if (name == "exact") return ForestEngine::kExact;
-  if (name == "binned") return ForestEngine::kBinned;
-  return Status::InvalidArgument(
-      StrFormat("unknown forest engine '%.*s' (want exact|binned)",
-                static_cast<int>(name.size()), name.data()));
-}
-
-std::string_view ForestEngineName(ForestEngine engine) {
-  return engine == ForestEngine::kExact ? "exact" : "binned";
-}
-
-Result<BinnedForest> BinnedForest::Compile(const FlatForest& flat) {
-  if (flat.nodes_.empty()) {
-    return Status::InvalidArgument("cannot bin an empty forest");
+Result<BinnedForest> BinnedForest::CompileAverage(
+    const std::vector<ClassificationTree>& trees) {
+  if (trees.empty()) {
+    return Status::InvalidArgument("cannot compile an empty forest");
   }
   Stopwatch watch;
-  int64_t max_feature = -1;
-  for (const FlatForest::Node& n : flat.nodes_) {
-    max_feature = std::max<int64_t>(max_feature, n.feature);
+  BinnedForest forest;
+  std::vector<double> thresholds;
+  std::vector<ClassificationTree::SerializedNode> src;
+  std::vector<double> leaf_proba;
+  for (const ClassificationTree& tree : trees) {
+    tree.Export(&src, &leaf_proba);
+    // A leaf's contribution is its class-1 probability — the exact
+    // double PredictProba(row)[1] returns.
+    TELCO_RETURN_NOT_OK(forest.AppendTree(
+        src,
+        [&leaf_proba](const ClassificationTree::SerializedNode& n) {
+          return leaf_proba[static_cast<size_t>(n.proba_offset) + 1];
+        },
+        &thresholds));
   }
-  if (max_feature >= 0xFFFF) {
-    return Status::InvalidArgument(
-        "binned nodes index features with uint16");
-  }
-  std::vector<std::vector<double>> thresholds(
-      static_cast<size_t>(max_feature + 1));
-  for (const FlatForest::Node& n : flat.nodes_) {
-    if (n.feature >= 0) {
-      thresholds[static_cast<size_t>(n.feature)].push_back(n.threshold);
-    }
-  }
-
-  BinnedForest binned;
-  TELCO_ASSIGN_OR_RETURN(binned.edges_, ThresholdEdgeMap::Build(thresholds));
-  binned.wide_codes_ = !binned.edges_.fits_uint8();
-  binned.roots_ = flat.roots_;
-  binned.leaf_values_ = flat.leaf_values_;
-  binned.margin_kind_ = flat.kind_ == FlatForest::Kind::kMargin;
-  binned.base_margin_ = flat.base_margin_;
-  binned.learning_rate_ = flat.learning_rate_;
-  binned.nodes_.resize(flat.nodes_.size());
-  binned.leaf_slot_.assign(flat.nodes_.size(), -1);
-  for (size_t i = 0; i < flat.nodes_.size(); ++i) {
-    const FlatForest::Node& src = flat.nodes_[i];
-    Node& dst = binned.nodes_[i];
-    if (src.feature < 0) {
-      // Leaf: split 0 never compares true and right_delta 0 self-loops,
-      // so finished rows hold still in the lock-step descent. The leaf
-      // value index moves to the cold sidecar.
-      binned.leaf_slot_[i] = src.right_delta;
-    } else {
-      dst.feature = static_cast<uint16_t>(src.feature);
-      dst.right_delta = src.right_delta;
-      // `v <= t` <=> `code(v) < code(t) + 1` for finite and infinite t;
-      // a NaN threshold compares false for every v, which split == 0
-      // encodes (no code is < 0) while the real right_delta keeps the
-      // node unconditionally-right rather than a leaf self-loop.
-      dst.split = std::isnan(src.threshold)
-                      ? 0
-                      : static_cast<uint16_t>(
-                            binned.edges_.CodeOf(
-                                static_cast<size_t>(src.feature),
-                                src.threshold) +
-                            1);
-    }
-  }
-  Metrics().nodes.Add(binned.nodes_.size());
-  if (binned.wide_codes_) Metrics().wide_code_forests.Add();
+  TELCO_RETURN_NOT_OK(forest.EncodeSplits(thresholds));
   Metrics().compile_seconds.Observe(watch.ElapsedSeconds());
-  return binned;
+  return forest;
+}
+
+Result<BinnedForest> BinnedForest::CompileMargin(
+    const std::vector<RegressionTree>& trees, double base_margin,
+    double learning_rate) {
+  if (trees.empty()) {
+    return Status::InvalidArgument("cannot compile an empty forest");
+  }
+  Stopwatch watch;
+  BinnedForest forest;
+  forest.margin_kind_ = true;
+  forest.base_margin_ = base_margin;
+  forest.learning_rate_ = learning_rate;
+  std::vector<double> thresholds;
+  std::vector<RegressionTree::SerializedNode> src;
+  for (const RegressionTree& tree : trees) {
+    tree.Export(&src);
+    TELCO_RETURN_NOT_OK(forest.AppendTree(
+        src,
+        [](const RegressionTree::SerializedNode& n) { return n.value; },
+        &thresholds));
+  }
+  TELCO_RETURN_NOT_OK(forest.EncodeSplits(thresholds));
+  Metrics().compile_seconds.Observe(watch.ElapsedSeconds());
+  return forest;
 }
 
 template <typename Code>
@@ -255,8 +289,8 @@ void BinnedForest::ScoreBlock(FeatureMatrix rows, size_t lo, size_t hi,
   // Tree-major, lock-step descent: every row of the block takes one
   // conditional-move step per iteration; leaves self-loop, so the loop
   // ends after (max leaf depth among the block's rows) iterations when
-  // a sweep moves nobody. Accumulation is in tree order with the exact
-  // engine's arithmetic, so the result is bit-identical to it.
+  // a sweep moves nobody. Accumulation is in tree order with the pointer
+  // walk's arithmetic, so the result is bit-identical to it.
   const Node* const arena = nodes_.data();
   for (const uint32_t root : roots_) {
     for (size_t r = 0; r < n; ++r) idx[r] = root;
@@ -300,8 +334,12 @@ void BinnedForest::PredictProbaInto(FeatureMatrix rows,
                                     ThreadPool* pool) const {
   TELCO_CHECK(out.size() == rows.num_rows());
   TELCO_DCHECK(!roots_.empty());
-  TELCO_DCHECK(rows.num_cols() >= edges_.num_features());
   if (rows.empty()) return;
+  // Codes are read from row[0 .. num_features()); a narrower row would
+  // be read past its end.
+  TELCO_CHECK(rows.num_cols() >= edges_.num_features())
+      << "rows have " << rows.num_cols() << " columns; the forest tests "
+      << edges_.num_features();
   Metrics().batch_rows.Add(rows.num_rows());
   const size_t nf = edges_.num_features();
   // One chunk per block keeps the grid independent of the pool size;
@@ -333,18 +371,6 @@ std::vector<double> BinnedForest::PredictProba(FeatureMatrix rows,
   std::vector<double> out(rows.num_rows(), 0.0);
   PredictProbaInto(rows, out, pool);
   return out;
-}
-
-std::shared_ptr<const BinnedForest> CompileBinnedOrNull(
-    const FlatForest& flat) {
-  Result<BinnedForest> binned = BinnedForest::Compile(flat);
-  if (!binned.ok()) {
-    Metrics().compile_fallbacks.Add();
-    TELCO_LOG(Warning) << "binned engine unavailable, serving exact: "
-                       << binned.status().ToString();
-    return nullptr;
-  }
-  return std::make_shared<const BinnedForest>(std::move(*binned));
 }
 
 }  // namespace telco

@@ -75,16 +75,16 @@ BinnedDataset EncodeBins(const FeatureBinner& binner, const Dataset& data);
 /// `code(v) <= i` for every non-NaN v (including v exactly equal to an
 /// edge, ±0.0, denormals and ±inf). NaN row values map to the sentinel
 /// code k, above every edge code, so they compare false against every
-/// split and fall right — the IEEE behaviour of the exact engine.
+/// split and fall right — the IEEE behaviour of the pointer walk.
 class ThresholdEdgeMap {
  public:
   /// Builds the per-feature edge lists from raw threshold collections
   /// (one vector per feature; duplicates are deduped, NaN thresholds are
   /// dropped — a NaN split never compares true, so callers encode such
-  /// nodes as unconditionally-right instead). Fails when any feature has
-  /// more than 65535 distinct thresholds: codes are at most uint16 wide,
-  /// and truncating would silently corrupt scores, so callers must stay
-  /// on the exact engine instead.
+  /// nodes as unconditionally-right instead). Fails, naming the
+  /// feature, when any feature has more than 65535 distinct thresholds:
+  /// codes are at most uint16 wide, and truncating would silently
+  /// corrupt scores.
   static Result<ThresholdEdgeMap> Build(
       const std::vector<std::vector<double>>& thresholds);
 

@@ -39,7 +39,7 @@ class Classifier {
   /// `rows`. Rows are chunked across `pool` (null = serial); each row is
   /// scored entirely by one thread, so the result is bit-identical to
   /// the serial PredictProba loop for any thread count. Overrides (the
-  /// tree ensembles route through the compiled flat-forest engine) must
+  /// tree ensembles route through the compiled binned engine) must
   /// preserve that bit-exactness.
   virtual std::vector<double> PredictProbaBatch(FeatureMatrix rows,
                                                 ThreadPool* pool) const;

@@ -231,7 +231,7 @@ Result<ClassificationTree> ClassificationTree::Import(
     if (node.feature < 0) {
       // Leaf: its class distribution must fit the probability array.
       if (node.proba_offset < 0 ||
-          node.proba_offset + num_classes >
+          static_cast<int64_t>(node.proba_offset) + num_classes >
               static_cast<int64_t>(leaf_proba.size())) {
         return Status::InvalidArgument("leaf probability offset invalid");
       }

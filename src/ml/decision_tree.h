@@ -114,7 +114,7 @@ class RegressionTree {
   size_t num_nodes() const { return nodes_.size(); }
 
   /// Flat node mirror (leaf: feature == -1, `value` is the leaf value) —
-  /// the input of the flat-forest compiler.
+  /// the input of the forest engine compiler.
   struct SerializedNode {
     int32_t feature = -1;
     double threshold = 0.0;

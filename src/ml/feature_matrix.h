@@ -7,7 +7,7 @@
 // (Dataset::Matrix()); request batches pack their rows into a
 // FeatureMatrixBuffer. Centralising on a view means a batch caller
 // never copies feature rows into a labelled Dataset just to score them,
-// and the flat-forest engine can walk raw row pointers block-at-a-time.
+// and the compiled forest engine can bin raw rows block-at-a-time.
 
 #ifndef TELCO_ML_FEATURE_MATRIX_H_
 #define TELCO_ML_FEATURE_MATRIX_H_

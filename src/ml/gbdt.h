@@ -6,12 +6,12 @@
 #ifndef TELCO_ML_GBDT_H_
 #define TELCO_ML_GBDT_H_
 
+#include <memory>
 #include <vector>
 
 #include "ml/binned_forest.h"
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
-#include "ml/flat_forest.h"
 
 namespace telco {
 
@@ -36,10 +36,8 @@ class Gbdt final : public Classifier {
 
   Status Fit(const Dataset& data) override;
   double PredictProba(std::span<const double> row) const override;
-  /// Batch scoring through a compiled engine — binned integer compares
-  /// when DefaultForestEngine() selects it (the default) and the model
-  /// binned, else the exact flat engine; both bit-identical to the
-  /// per-row pointer walk, much faster.
+  /// Batch scoring through the compiled binned engine; bit-identical to
+  /// the per-row pointer walk, much faster.
   std::vector<double> PredictProbaBatch(FeatureMatrix rows,
                                         ThreadPool* pool) const override;
   using Classifier::PredictProbaBatch;
@@ -48,10 +46,7 @@ class Gbdt final : public Classifier {
   size_t num_trees() const { return trees_.size(); }
   const std::vector<RegressionTree>& trees() const { return trees_; }
   double base_margin() const { return base_margin_; }
-  /// The exact compiled engine (null only before a successful fit).
-  const FlatForest* flat() const { return flat_.get(); }
-  /// The binned integer-compare engine (null before a fit, or when the
-  /// model cannot be binned — scoring then stays on the exact engine).
+  /// The compiled engine (null only before a successful fit).
   const BinnedForest* binned() const { return binned_.get(); }
 
  private:
@@ -61,7 +56,6 @@ class Gbdt final : public Classifier {
   double base_margin_ = 0.0;
   std::vector<RegressionTree> trees_;
   // Shared so copies of a fitted model reuse one compiled arena.
-  std::shared_ptr<const FlatForest> flat_;
   std::shared_ptr<const BinnedForest> binned_;
 };
 

@@ -86,9 +86,9 @@ Status RandomForest::Fit(const Dataset& data) {
     for (size_t t = 0; t < trees_.size(); ++t) fit_tree(t);
   }
   TELCO_RETURN_NOT_OK(first_error);
-  TELCO_ASSIGN_OR_RETURN(FlatForest flat, FlatForest::CompileAverage(trees_));
-  flat_ = std::make_shared<const FlatForest>(std::move(flat));
-  binned_ = CompileBinnedOrNull(*flat_);
+  TELCO_ASSIGN_OR_RETURN(BinnedForest engine,
+                         BinnedForest::CompileAverage(trees_));
+  binned_ = std::make_shared<const BinnedForest>(std::move(engine));
 
   // Aggregate Eq. (7) importance across trees and normalise to sum 1.
   importance_.assign(data.num_features(), 0.0);
@@ -114,16 +114,8 @@ double RandomForest::PredictProba(std::span<const double> row) const {
 
 std::vector<double> RandomForest::PredictProbaBatch(FeatureMatrix rows,
                                                     ThreadPool* pool) const {
-  return PredictProbaBatch(rows, pool, DefaultForestEngine());
-}
-
-std::vector<double> RandomForest::PredictProbaBatch(
-    FeatureMatrix rows, ThreadPool* pool, ForestEngine engine) const {
-  if (binned_ != nullptr && engine == ForestEngine::kBinned) {
-    return binned_->PredictProba(rows, pool);
-  }
-  if (flat_ == nullptr) return Classifier::PredictProbaBatch(rows, pool);
-  return flat_->PredictProba(rows, pool);
+  if (binned_ == nullptr) return Classifier::PredictProbaBatch(rows, pool);
+  return binned_->PredictProba(rows, pool);
 }
 
 std::vector<double> RandomForest::PredictClassProba(
@@ -153,10 +145,9 @@ Result<RandomForest> RandomForest::FromParts(
   forest.num_classes_ = num_classes;
   forest.trees_ = std::move(trees);
   forest.importance_ = std::move(importance);
-  TELCO_ASSIGN_OR_RETURN(FlatForest flat,
-                         FlatForest::CompileAverage(forest.trees_));
-  forest.flat_ = std::make_shared<const FlatForest>(std::move(flat));
-  forest.binned_ = CompileBinnedOrNull(*forest.flat_);
+  TELCO_ASSIGN_OR_RETURN(BinnedForest engine,
+                         BinnedForest::CompileAverage(forest.trees_));
+  forest.binned_ = std::make_shared<const BinnedForest>(std::move(engine));
   return forest;
 }
 

@@ -1,5 +1,6 @@
 #include "ml/serialize.h"
 
+#include <limits>
 #include <sstream>
 
 #include "common/crc32.h"
@@ -35,6 +36,39 @@ Result<int64_t> ReadInt(std::istream& in) {
   int64_t v;
   if (!(in >> v)) return Status::IoError("unexpected end of model file");
   return v;
+}
+
+// Tree node fields are stored as int32.
+Result<int32_t> ReadInt32(std::istream& in) {
+  TELCO_ASSIGN_OR_RETURN(const int64_t v, ReadInt(in));
+  if (v < std::numeric_limits<int32_t>::min() ||
+      v > std::numeric_limits<int32_t>::max()) {
+    return Status::IoError(StrFormat("tree node field %lld out of range",
+                                     static_cast<long long>(v)));
+  }
+  return static_cast<int32_t>(v);
+}
+
+// Refuses a header count that the rest of the stream cannot hold, before
+// it sizes a vector: every element takes at least `min_bytes` of text
+// (two per number: a digit and a separator). A stream that cannot report
+// its length holds nothing.
+Status CheckCount(std::istream& in, int64_t count, int64_t min_bytes,
+                  const char* what) {
+  const std::streampos here = in.tellg();
+  int64_t left = 0;
+  if (here != std::streampos(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    if (end != std::streampos(-1)) left = static_cast<int64_t>(end - here);
+  }
+  if (count > left / min_bytes) {
+    return Status::IoError(StrFormat(
+        "model file declares %lld %s but has %lld bytes left",
+        static_cast<long long>(count), what, static_cast<long long>(left)));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -85,10 +119,12 @@ Result<RandomForest> ReadRandomForest(std::istream& in) {
   TELCO_ASSIGN_OR_RETURN(const int64_t num_classes, ReadInt(in));
   TELCO_ASSIGN_OR_RETURN(const int64_t num_trees, ReadInt(in));
   TELCO_ASSIGN_OR_RETURN(const int64_t num_features, ReadInt(in));
-  if (num_classes < 2 || num_trees < 1 || num_trees > 100000 ||
-      num_features < 0) {
+  if (num_classes < 2 || num_classes > std::numeric_limits<int>::max() ||
+      num_trees < 1 || num_trees > 100000 || num_features < 0) {
     return Status::IoError("implausible model header");
   }
+  TELCO_RETURN_NOT_OK(CheckCount(in, num_features, 2, "importances"));
+  TELCO_RETURN_NOT_OK(CheckCount(in, num_trees, 2, "trees"));
   std::vector<double> importance;
   importance.reserve(num_features);
   for (int64_t j = 0; j < num_features; ++j) {
@@ -103,18 +139,16 @@ Result<RandomForest> ReadRandomForest(std::istream& in) {
     if (num_nodes < 1 || proba_len < num_classes) {
       return Status::IoError("implausible tree header");
     }
+    // A node is five numbers, hence at least ten bytes.
+    TELCO_RETURN_NOT_OK(CheckCount(in, num_nodes, 10, "tree nodes"));
+    TELCO_RETURN_NOT_OK(CheckCount(in, proba_len, 2, "leaf probabilities"));
     std::vector<ClassificationTree::SerializedNode> nodes(num_nodes);
     for (auto& n : nodes) {
-      TELCO_ASSIGN_OR_RETURN(const int64_t feature, ReadInt(in));
-      TELCO_ASSIGN_OR_RETURN(const double threshold, ReadDouble(in));
-      TELCO_ASSIGN_OR_RETURN(const int64_t left, ReadInt(in));
-      TELCO_ASSIGN_OR_RETURN(const int64_t right, ReadInt(in));
-      TELCO_ASSIGN_OR_RETURN(const int64_t proba_offset, ReadInt(in));
-      n.feature = static_cast<int32_t>(feature);
-      n.threshold = threshold;
-      n.left = static_cast<int32_t>(left);
-      n.right = static_cast<int32_t>(right);
-      n.proba_offset = static_cast<int32_t>(proba_offset);
+      TELCO_ASSIGN_OR_RETURN(n.feature, ReadInt32(in));
+      TELCO_ASSIGN_OR_RETURN(n.threshold, ReadDouble(in));
+      TELCO_ASSIGN_OR_RETURN(n.left, ReadInt32(in));
+      TELCO_ASSIGN_OR_RETURN(n.right, ReadInt32(in));
+      TELCO_ASSIGN_OR_RETURN(n.proba_offset, ReadInt32(in));
     }
     std::vector<double> leaf_proba;
     leaf_proba.reserve(proba_len);
@@ -146,37 +180,40 @@ Status SaveRandomForest(const RandomForest& forest,
 }
 
 Result<RandomForest> LoadRandomForest(const std::string& path) {
-  return RetryWithBackoff(RetryOptions{}, [&]() -> Result<RandomForest> {
-    TELCO_RETURN_NOT_OK(MaybeInjectFault("model.load"));
-    TELCO_ASSIGN_OR_RETURN(const std::string content,
-                           ReadFileToString(path));
-    if (content.empty() || content.back() != '\n') {
-      return Status::IoError("model file '" + path +
-                             "' is truncated (no final newline)");
-    }
-    size_t trailer_start =
-        content.size() >= 2 ? content.rfind('\n', content.size() - 2)
-                            : std::string::npos;
-    trailer_start = trailer_start == std::string::npos ? 0 : trailer_start + 1;
-    const std::string trailer =
-        content.substr(trailer_start, content.size() - trailer_start - 1);
-    if (!StartsWith(trailer, "crc32 ")) {
-      return Status::IoError("model file '" + path +
-                             "' has no checksum trailer (truncated file?)");
-    }
-    uint32_t expected = 0;
-    if (!ParseCrc32Hex(trailer.substr(6), &expected)) {
-      return Status::IoError("model file '" + path +
-                             "' has a malformed checksum trailer");
-    }
-    const std::string model_body = content.substr(0, trailer_start);
-    if (Crc32(model_body) != expected) {
-      return Status::IoError("checksum mismatch in model file '" + path +
-                             "' (corrupt or torn file)");
-    }
-    std::istringstream in(model_body);
-    return ReadRandomForest(in);
-  });
+  // Only the read is retried: a file that reads but fails its checksum
+  // or parse fails the same way every time.
+  TELCO_ASSIGN_OR_RETURN(
+      const std::string content,
+      RetryWithBackoff(RetryOptions{}, [&]() -> Result<std::string> {
+        TELCO_RETURN_NOT_OK(MaybeInjectFault("model.load"));
+        return ReadFileToString(path);
+      }));
+  if (content.empty() || content.back() != '\n') {
+    return Status::IoError("model file '" + path +
+                           "' is truncated (no final newline)");
+  }
+  size_t trailer_start =
+      content.size() >= 2 ? content.rfind('\n', content.size() - 2)
+                          : std::string::npos;
+  trailer_start = trailer_start == std::string::npos ? 0 : trailer_start + 1;
+  const std::string trailer =
+      content.substr(trailer_start, content.size() - trailer_start - 1);
+  if (!StartsWith(trailer, "crc32 ")) {
+    return Status::IoError("model file '" + path +
+                           "' has no checksum trailer (truncated file?)");
+  }
+  uint32_t expected = 0;
+  if (!ParseCrc32Hex(trailer.substr(6), &expected)) {
+    return Status::IoError("model file '" + path +
+                           "' has a malformed checksum trailer");
+  }
+  const std::string model_body = content.substr(0, trailer_start);
+  if (Crc32(model_body) != expected) {
+    return Status::IoError("checksum mismatch in model file '" + path +
+                           "' (corrupt or torn file)");
+  }
+  std::istringstream in(model_body);
+  return ReadRandomForest(in);
 }
 
 Result<uint32_t> ForestChecksum(const RandomForest& forest) {

@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,15 +51,8 @@ class ModelRouter {
   /// the route on its first publish. Returns the route-local version (1
   /// for a route's first model). Thread-safe against concurrent Submit
   /// and Publish on any route.
-  ///
-  /// `engine` pins the route's scoring engine (exact flat forest vs
-  /// binned integer-compare); nullopt keeps whatever the route already
-  /// has — the process-wide DefaultForestEngine() for a route that was
-  /// never pinned. Pinning is per route, so a champion and a challenger
-  /// can serve different engines side by side.
   uint64_t Publish(const std::string& name,
-                   std::shared_ptr<const ModelSnapshot> snapshot,
-                   std::optional<ForestEngine> engine = std::nullopt);
+                   std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// Submits to the route named by request.model. NotFound for a route
   /// that has never been published; otherwise the route executor's
@@ -94,9 +86,6 @@ class ModelRouter {
     uint64_t snapshot_version = 0;
     std::string label;
     uint32_t fingerprint = 0;
-    /// The forest engine this route scores with ("exact" or "binned"):
-    /// its pinned engine, else the process default at snapshot time.
-    std::string engine;
     /// Requests waiting in this route's admission queue right now.
     size_t queue_depth = 0;
     /// Requests this route has finished scoring (incl. per-row failures).

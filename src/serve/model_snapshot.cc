@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/string_util.h"
 #include "common/telemetry/metrics.h"
 #include "ml/serialize.h"
 #include "storage/atomic_file.h"
@@ -69,13 +70,19 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::LoadFromFile(
 Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromForest(
     RandomForest forest, std::vector<std::string> feature_names,
     std::string label) {
-  if (forest.num_trees() == 0) {
+  if (forest.num_trees() == 0 || forest.binned() == nullptr) {
     return Status::InvalidArgument(
         "a serving snapshot requires a fitted forest");
   }
   if (feature_names.empty()) {
     return Status::InvalidArgument(
         "a serving snapshot requires a feature schema");
+  }
+  if (forest.binned()->num_features() > feature_names.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "the forest splits on feature %zu but the schema names only %zu "
+        "columns",
+        forest.binned()->num_features() - 1, feature_names.size()));
   }
   TELCO_ASSIGN_OR_RETURN(const uint32_t fingerprint, ForestChecksum(forest));
   return std::shared_ptr<const ModelSnapshot>(
@@ -90,12 +97,6 @@ double ModelSnapshot::Score(std::span<const double> row) const {
 std::vector<double> ModelSnapshot::ScoreBatch(FeatureMatrix rows,
                                               ThreadPool* pool) const {
   return forest_.PredictProbaBatch(rows, pool);
-}
-
-std::vector<double> ModelSnapshot::ScoreBatch(FeatureMatrix rows,
-                                              ThreadPool* pool,
-                                              ForestEngine engine) const {
-  return forest_.PredictProbaBatch(rows, pool, engine);
 }
 
 std::vector<double> ModelSnapshot::ScoreBatch(const Dataset& rows,

@@ -40,7 +40,9 @@ class ModelSnapshot {
   /// Wraps an already-fitted forest (e.g. the one a ChurnPipeline just
   /// trained) without touching disk. The fingerprint is the checksum of
   /// the forest's canonical serialised form, so it equals the file
-  /// trailer the same forest would be saved with.
+  /// trailer the same forest would be saved with. Fails with
+  /// InvalidArgument when a split tests a feature the schema does not
+  /// have: every score would read past its schema-width row.
   static Result<std::shared_ptr<const ModelSnapshot>> FromForest(
       RandomForest forest, std::vector<std::string> feature_names,
       std::string label);
@@ -63,17 +65,10 @@ class ModelSnapshot {
   double Score(std::span<const double> row) const;
 
   /// Batch scoring through the same entry point the offline pipeline
-  /// uses (Classifier::PredictProbaBatch, i.e. the compiled flat-forest
+  /// uses (Classifier::PredictProbaBatch, i.e. the compiled binned
   /// engine), so online scores are bit-identical to offline ones for any
   /// batch split or thread count.
   std::vector<double> ScoreBatch(FeatureMatrix rows, ThreadPool* pool) const;
-
-  /// Explicit-engine flavour for per-route serving: the router can pin a
-  /// route to the exact flat engine or the binned integer-compare engine
-  /// instead of the process-wide default. Scores are bit-identical
-  /// either way.
-  std::vector<double> ScoreBatch(FeatureMatrix rows, ThreadPool* pool,
-                                 ForestEngine engine) const;
 
   /// Thin wrapper over the FeatureMatrix overload.
   std::vector<double> ScoreBatch(const Dataset& rows,

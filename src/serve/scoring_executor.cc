@@ -54,7 +54,6 @@ ScoringExecutor::ScoringExecutor(SnapshotRegistry* registry,
   if (options_.max_batch_size == 0) options_.max_batch_size = 1;
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
   if (options_.pool == nullptr) options_.pool = &ThreadPool::Default();
-  if (options_.engine.has_value()) SetEngine(*options_.engine);
   if (!options_.route_name.empty()) {
     route_latency_ = MetricsRegistry::Global().GetLogHistogram(
         "serve.route." + options_.route_name + ".latency_seconds");
@@ -241,8 +240,8 @@ void ScoringExecutor::ScoreBatch(std::vector<Pending> batch) {
       rows.AddRow(batch[i].request.features);
     }
   }
-  const std::vector<double> scores = ref.snapshot->ScoreBatch(
-      rows.matrix(), options_.pool, engine().value_or(DefaultForestEngine()));
+  const std::vector<double> scores =
+      ref.snapshot->ScoreBatch(rows.matrix(), options_.pool);
 
   for (size_t i = 0; i < batch.size(); ++i) {
     if (row_of_pending[i] == SIZE_MAX) {

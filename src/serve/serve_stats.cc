@@ -81,12 +81,12 @@ std::string RouteStatsJson(const ModelRouter::RouteStats& route,
                    ".latency_seconds");
   return StrFormat(
       "{\"model\":\"%s\",\"snapshot\":%llu,\"label\":\"%s\","
-      "\"fingerprint\":\"%08x\",\"engine\":\"%s\",\"queue_depth\":%zu,"
+      "\"fingerprint\":\"%08x\",\"queue_depth\":%zu,"
       "\"scored\":%llu,\"rejected\":%llu,\"latency\":%s}",
       JsonEscape(route.name).c_str(),
       static_cast<unsigned long long>(route.snapshot_version),
       JsonEscape(route.label).c_str(), route.fingerprint,
-      JsonEscape(route.engine).c_str(), route.queue_depth,
+      route.queue_depth,
       static_cast<unsigned long long>(route.scored),
       static_cast<unsigned long long>(route.rejected),
       QuantilesJson(latency).c_str());

@@ -29,7 +29,6 @@
 #include "common/telemetry/metrics.h"
 #include "common/telemetry/flight_recorder.h"
 #include "common/telemetry/trace.h"
-#include "ml/binned_forest.h"
 #include "ml/serialize.h"
 #include "serve/metrics_endpoint.h"
 #include "serve/model_router.h"
@@ -549,9 +548,6 @@ TEST(TcpServeTest, StatsListsRoutesWithPerRouteCounters) {
   EXPECT_EQ(shadow_route.NumberOr("queue_depth", -1), 0.0) << line;
   EXPECT_EQ(shadow_route.NumberOr("rejected", -1), 0.0) << line;
   EXPECT_NE(shadow_route.StringOr("fingerprint", ""), "") << line;
-  // Every route reports the engine it scores with ("exact"/"binned").
-  const std::string engine = shadow_route.StringOr("engine", "");
-  EXPECT_TRUE(engine == "exact" || engine == "binned") << line;
   server.Shutdown();
 }
 
@@ -830,9 +826,10 @@ TEST(TcpServeTest, ObservabilitySoakUnderSwapStorm) {
   std::remove(jsonl_path.c_str());
 }
 
-// The binned integer-compare engine behind the same wire protocol must
-// produce byte-identical responses to the exact engine: same rows
-// scored under each engine in turn, then the response lines compared.
+// The binned engine behind the wire protocol must produce byte-identical
+// responses to the exact scorer, the pointer walk: every response line is
+// compared with the line formatted from the snapshot's per-row
+// pointer-walk score.
 TEST(TcpServeTest, BinnedEngineWireParityWithExact) {
   auto snapshot = MakeSnapshot(7901, "engine-parity");
   const Dataset data = ml_testing::LinearlySeparable(120, 7902);
@@ -842,34 +839,29 @@ TEST(TcpServeTest, BinnedEngineWireParityWithExact) {
   TcpScoringServer server(&router);
   ASSERT_TRUE(server.Start().ok());
 
-  const ForestEngine saved = DefaultForestEngine();
-  std::vector<std::string> lines_by_engine[2];
-  const ForestEngine engines[2] = {ForestEngine::kExact,
-                                   ForestEngine::kBinned};
   const uint64_t binned_rows_before =
       CounterValue("ml.binned_forest.batch_rows");
-  for (int e = 0; e < 2; ++e) {
-    SetDefaultForestEngine(engines[e]);
-    TcpClient client;
-    client.Connect(server.port());
-    std::string stream;
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      stream += ScoreFrame(r + 1, static_cast<int64_t>(r), "", data.Row(r));
-    }
-    client.SendAll(stream);
-    client.HalfClose();
-    std::string line;
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      ASSERT_TRUE(client.RecvLine(&line)) << "EOF before response " << r;
-      EXPECT_EQ(ParseJson(line)->StringOr("error", ""), "") << line;
-      lines_by_engine[e].push_back(line);
-    }
-    EXPECT_TRUE(client.AtEof());
+  TcpClient client;
+  client.Connect(server.port());
+  std::string stream;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    stream += ScoreFrame(r + 1, static_cast<int64_t>(r), "", data.Row(r));
   }
-  SetDefaultForestEngine(saved);
-
-  EXPECT_EQ(lines_by_engine[0], lines_by_engine[1]);
-  // Proof the second pass actually took the binned path.
+  client.SendAll(stream);
+  client.HalfClose();
+  std::string line;
+  for (size_t r = 0; r < data.num_rows(); ++r) {
+    ASSERT_TRUE(client.RecvLine(&line)) << "EOF before response " << r;
+    ScoreRequest request;
+    request.id = r + 1;
+    request.imsi = static_cast<int64_t>(r);
+    ScoreOutcome expected;
+    expected.score = snapshot->Score(data.Row(r));
+    expected.snapshot_version = 1;
+    EXPECT_EQ(line, FormatScoreResponse(request, expected)) << "row " << r;
+  }
+  EXPECT_TRUE(client.AtEof());
+  // Proof the wire scores came from the binned engine.
   EXPECT_GE(CounterValue("ml.binned_forest.batch_rows"),
             binned_rows_before + data.num_rows());
   server.Shutdown();

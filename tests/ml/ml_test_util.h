@@ -1,8 +1,12 @@
-// Shared synthetic datasets for ML-layer tests.
+// Shared synthetic datasets and model-file helpers for ML-layer tests.
 
 #ifndef TELCO_TESTS_ML_ML_TEST_UTIL_H_
 #define TELCO_TESTS_ML_ML_TEST_UTIL_H_
 
+#include <fstream>
+#include <string>
+
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "ml/dataset.h"
 
@@ -55,6 +59,14 @@ inline Dataset ThreeClassBlobs(size_t n, uint64_t seed) {
     data.AddRow(std::span<const double>(row, 2), c);
   }
   return data;
+}
+
+// Writes a model body to `path` with the `crc32` trailer SaveRandomForest
+// appends, so LoadRandomForest gets past the checksum to the parser.
+inline void WriteStampedModel(const std::string& path,
+                              const std::string& body) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << body << "crc32 " << Crc32Hex(Crc32(body)) << "\n";
 }
 
 }  // namespace ml_testing

@@ -104,6 +104,36 @@ TEST(SerializeTest, RejectsCorruptChildIndex) {
   EXPECT_FALSE(ReadRandomForest(stream).ok());
 }
 
+// A header count the body cannot hold must fail as IoError before it
+// sizes a vector (a 10^12-element reserve aborts the process).
+TEST(SerializeTest, OversizedCountsFailBeforeAllocating) {
+  const std::string path = ::testing::TempDir() + "/telco_rf_counts.model";
+  for (const char* body : {
+           // importances
+           "telcochurn-rf 1\n2 1 1000000000000\n\n",
+           // tree nodes
+           "telcochurn-rf 1\n2 1 0\n\n1000000000000 2\n",
+           // leaf probabilities
+           "telcochurn-rf 1\n2 1 0\n\n1 1000000000000\n"
+           "-1 0x0p+0 -1 -1 0\n",
+           // trees
+           "telcochurn-rf 1\n2 100000 0\n\n",
+       }) {
+    ml_testing::WriteStampedModel(path, body);
+    const auto loaded = LoadRandomForest(path);
+    EXPECT_TRUE(loaded.status().IsIoError())
+        << body << " -> " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, NodeFieldsOutsideInt32Fail) {
+  std::stringstream stream(
+      "telcochurn-rf 1\n2 1 0\n\n1 2\n-1 0x0p+0 -1 -1 4294967296\n"
+      "0x1p-1 0x1p-1 \n");
+  EXPECT_TRUE(ReadRandomForest(stream).status().IsIoError());
+}
+
 TEST(SerializeTest, MissingFileFails) {
   EXPECT_TRUE(
       LoadRandomForest("/nonexistent/model").status().IsIoError());

@@ -101,52 +101,6 @@ TEST(ModelRouterTest, UnknownModelIsNotFound) {
   EXPECT_TRUE(router.HasRoute(""));
 }
 
-// Publish can pin a route's forest engine; unpinned routes follow the
-// process-wide default. The pin shows up in Stats and never changes the
-// scores (engines are bit-identical).
-TEST(ModelRouterTest, PerRouteEnginePinsAndReportsInStats) {
-  auto snapshot = MakeSnapshot(6301, "engines");
-  ModelRouter router;
-  router.Publish("", snapshot);  // follows the process default
-  router.Publish("pin-binned", snapshot, ForestEngine::kBinned);
-  router.Publish("pin-exact", snapshot, ForestEngine::kExact);
-
-  auto stats = router.Stats();
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_EQ(stats[0].name, "");
-  EXPECT_EQ(stats[0].engine,
-            std::string(ForestEngineName(DefaultForestEngine())));
-  EXPECT_EQ(stats[1].name, "pin-binned");
-  EXPECT_EQ(stats[1].engine, "binned");
-  EXPECT_EQ(stats[2].name, "pin-exact");
-  EXPECT_EQ(stats[2].engine, "exact");
-
-  // Same snapshot on every route: the pinned engines must agree with the
-  // per-row reference score bit for bit.
-  const Dataset data = ml_testing::LinearlySeparable(30, 6302);
-  for (size_t r = 0; r < 10; ++r) {
-    const auto row = data.Row(r);
-    const std::vector<double> features(row.begin(), row.end());
-    auto exact = router.Submit(MakeRequest(r, "pin-exact", features));
-    auto binned = router.Submit(MakeRequest(r, "pin-binned", features));
-    ASSERT_TRUE(exact.ok() && binned.ok());
-    const ScoreOutcome e = exact->get();
-    const ScoreOutcome b = binned->get();
-    ASSERT_TRUE(e.status.ok()) << e.status.ToString();
-    ASSERT_TRUE(b.status.ok()) << b.status.ToString();
-    EXPECT_EQ(e.score, snapshot->Score(row)) << "row " << r;
-    EXPECT_EQ(b.score, e.score) << "row " << r;
-  }
-
-  // Republishing with an engine re-pins the route; without one the
-  // existing pin is kept.
-  router.Publish("pin-exact", snapshot, ForestEngine::kBinned);
-  router.Publish("pin-binned", snapshot);
-  stats = router.Stats();
-  EXPECT_EQ(stats[1].engine, "binned");  // pin-binned: unchanged
-  EXPECT_EQ(stats[2].engine, "binned");  // pin-exact: re-pinned
-}
-
 TEST(ModelRouterTest, RouteNamesSortedDefaultFirst) {
   ModelRouter router;
   EXPECT_TRUE(router.RouteNames().empty());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,42 @@ TEST_F(ModelSnapshotTest, RejectsEmptySchema) {
   auto snapshot =
       ModelSnapshot::FromForest(forest_, std::vector<std::string>{}, "bad");
   EXPECT_FALSE(snapshot.ok());
+}
+
+// A split on a feature the schema does not name would read past every
+// schema-width row the executor admits, so the snapshot refuses it —
+// loaded from disk or wrapped from memory.
+TEST_F(ModelSnapshotTest, RejectsSplitOnFeatureOutsideSchema) {
+  const std::string path = TempPath("snapshot_feature1000.rf");
+  // One tree splitting on feature 1000, next to a two-column sidecar.
+  ml_testing::WriteStampedModel(path,
+                                "telcochurn-rf 1\n2 1 0\n\n"
+                                "3 4\n"
+                                "1000 0x1p-1 1 2 -1\n"
+                                "-1 0x0p+0 -1 -1 0\n"
+                                "-1 0x0p+0 -1 -1 2\n"
+                                "0x1p-1 0x1p-1 0x1p-2 0x1.8p-1 \n");
+  std::ofstream(path + ".features") << "x0\nx1\n";
+  auto forest = LoadRandomForest(path);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  EXPECT_EQ(forest->binned()->num_features(), 1001u);
+
+  auto loaded = ModelSnapshot::LoadFromFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+  EXPECT_NE(loaded.status().ToString().find("feature 1000"),
+            std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_FALSE(ModelSnapshot::FromForest(
+                   *forest, std::vector<std::string>{"x0", "x1"}, "narrow")
+                   .ok());
+
+  // A schema wide enough for the split is accepted.
+  std::vector<std::string> wide;
+  for (int j = 0; j <= 1000; ++j) wide.push_back("c" + std::to_string(j));
+  EXPECT_TRUE(ModelSnapshot::FromForest(*forest, wide, "wide").ok());
+  std::remove(path.c_str());
+  std::remove((path + ".features").c_str());
 }
 
 TEST_F(ModelSnapshotTest, LoadFromFileRoundTrips) {

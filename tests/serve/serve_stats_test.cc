@@ -72,7 +72,6 @@ TEST(ServeStatsTest, RouteStatsJsonIncludesRouteLatency) {
   route.label = "challenger-v2";
   route.snapshot_version = 3;
   route.fingerprint = 0xdeadbeef;
-  route.engine = "exact";
   route.queue_depth = 5;
   route.scored = 123;
   route.rejected = 2;
@@ -84,7 +83,6 @@ TEST(ServeStatsTest, RouteStatsJsonIncludesRouteLatency) {
   EXPECT_EQ(doc->StringOr("label", ""), "challenger-v2");
   EXPECT_DOUBLE_EQ(doc->NumberOr("snapshot", 0), 3.0);
   EXPECT_EQ(doc->StringOr("fingerprint", ""), "deadbeef");
-  EXPECT_EQ(doc->StringOr("engine", ""), "exact");
   EXPECT_DOUBLE_EQ(doc->NumberOr("queue_depth", -1), 5.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("scored", -1), 123.0);
   EXPECT_DOUBLE_EQ(doc->NumberOr("rejected", -1), 2.0);

@@ -54,7 +54,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -69,7 +68,6 @@
 #include "common/telemetry/trace.h"
 #include "common/thread_pool.h"
 #include "datagen/telco_simulator.h"
-#include "ml/binned_forest.h"
 #include "ml/serialize.h"
 #include "serve/metrics_endpoint.h"
 #include "serve/model_router.h"
@@ -387,7 +385,6 @@ Status RunServe(Flags& flags) {
   const int64_t readers = flags.GetInt("readers", 2);
   const int64_t idle_timeout_s = flags.GetInt("idle-timeout-s", 300);
   const std::string named_models = flags.Get("models", "");
-  const std::string engine = flags.Get("engine", "");
   const int64_t metrics_port = flags.GetInt("metrics-port", -1);
   const std::string stats_out = flags.Get("stats-out", "");
   const std::string stats_interval = flags.Get("stats-interval-s", "");
@@ -416,16 +413,6 @@ Status RunServe(Flags& flags) {
   }
   if (metrics_port > 65535) {
     return Status::InvalidArgument("--metrics-port must be in [0, 65535]");
-  }
-
-  if (!engine.empty()) {
-    // Process-wide: every route's forest scores through the chosen
-    // engine (overrides the TELCO_FOREST_ENGINE env default).
-    TELCO_ASSIGN_OR_RETURN(const ForestEngine parsed,
-                           ParseForestEngine(engine));
-    SetDefaultForestEngine(parsed);
-    std::fprintf(stderr, "forest engine: %s\n",
-                 std::string(ForestEngineName(parsed)).c_str());
   }
 
   std::unique_ptr<ThreadPool> owned_pool;
@@ -502,36 +489,20 @@ Status RunServe(Flags& flags) {
   ModelRouter router(router_options);
   router.Publish("", std::move(snapshot));
   if (!named_models.empty()) {
-    // --models segment-a=/path/a.rf,segment-b=/path/b.rf:exact
-    // A ":exact" / ":binned" suffix pins that route's forest engine
-    // (anything else after ':' is part of the path).
+    // --models segment-a=/path/a.rf,segment-b=/path/b.rf
     for (const std::string& entry : Split(named_models, ',')) {
       const size_t eq = entry.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 == entry.size()) {
         return Status::InvalidArgument(
-            "--models expects name=path[:engine][,name=path...], got '" +
+            "--models expects name=path[,name=path...], got '" +
             entry + "'");
       }
       const std::string name = entry.substr(0, eq);
-      std::string path = entry.substr(eq + 1);
-      std::optional<ForestEngine> route_engine;
-      const size_t colon = path.rfind(':');
-      if (colon != std::string::npos) {
-        const Result<ForestEngine> parsed =
-            ParseForestEngine(path.substr(colon + 1));
-        if (parsed.ok()) {
-          route_engine = parsed.ValueOrDie();
-          path = path.substr(0, colon);
-        }
-      }
+      const std::string path = entry.substr(eq + 1);
       TELCO_ASSIGN_OR_RETURN(auto named, ModelSnapshot::LoadFromFile(path));
-      router.Publish(name, std::move(named), route_engine);
-      std::fprintf(
-          stderr, "published model '%s' from %s (engine %s)\n", name.c_str(),
-          path.c_str(),
-          route_engine.has_value()
-              ? std::string(ForestEngineName(*route_engine)).c_str()
-              : "default");
+      router.Publish(name, std::move(named));
+      std::fprintf(stderr, "published model '%s' from %s\n", name.c_str(),
+                   path.c_str());
     }
   }
 
@@ -771,10 +742,10 @@ int Usage() {
       "           [--training-months K] [--trees T]\n"
       "  predict  --warehouse DIR --model PATH --month M [--top U]\n"
       "  serve    --model PATH [--batch N] [--queue N] [--window N]\n"
-      "           [--threads N] [--engine exact|binned]\n"
+      "           [--threads N]\n"
       "           (NDJSON on stdin/stdout; see README)\n"
       "           [--tcp-port P] [--readers N]\n"
-      "           [--models n=PATH[:exact|binned],...]  (per-route engine)\n"
+      "           [--models n=PATH,...]  (named routes)\n"
       "           [--idle-timeout-s S]  (0 disables the idle reaper)\n"
       "           (with --tcp-port: epoll TCP front-end with named-model\n"
       "           routing; port 0 picks an ephemeral port)\n"
